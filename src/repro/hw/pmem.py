@@ -13,13 +13,27 @@ of the paper):
 
 The simulation keeps two byte images: ``_data`` is the current (cache +
 media) view used by reads, ``_durable`` is the media view restored by a
-crash.  A coalesced :class:`IntervalSet` records which ranges of ``_data``
-are dirty (cached but not yet flushed).
+crash.  Both are private anonymous memory maps, so pages the workload
+never touches are never zeroed or made resident.  Two coalesced
+:class:`IntervalSet` objects record where the images may differ:
+``_dirty`` holds stored but not yet flushed ranges, ``_staged`` holds
+ranges handed out by :meth:`PersistentMemoryDevice.volatile_view` and not
+yet accounted by :meth:`PersistentMemoryDevice.write_prefilled`.  The
+invariant is that ``_data`` equals ``_durable`` outside
+``_dirty | _staged``, so :meth:`PersistentMemoryDevice.crash` copies back
+only those at-risk ranges and costs O(at-risk bytes), not O(device size).
+Any new way for the images to diverge must join the at-risk set: a model
+of CLFLUSHOPT/CLWB lines that stay pending until the next SFENCE has to
+make those lines restorable by a crash too.  Bulk copies between the
+images and from callers' buffers are memoryview slice assignments, which
+copy each byte once with no temporary.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import mmap
 from typing import Callable, Optional
 
 from repro.faults import plan as faultplan
@@ -92,9 +106,13 @@ class PersistentMemoryDevice:
         self.sfence_cost = sfence_cost
         self.store_cost = store_cost
         self.load_cost = load_cost
-        self._data = bytearray(size)
-        self._durable = bytearray(size)
+        self._data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        self._durable = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        self._view = memoryview(self._data)
+        self._durable_view = memoryview(self._durable)
+        # ``_data`` equals ``_durable`` outside ``_dirty | _staged``.
         self._dirty = IntervalSet()
+        self._staged = IntervalSet()
         # Ranges resident in the CPU cache hierarchy: reads of hot data
         # pay cache cost, not PM media latency/bandwidth.  Crashes (and
         # explicit drop_caches) leave the cache cold, which is what makes
@@ -169,7 +187,7 @@ class PersistentMemoryDevice:
         self._check_range(addr, len(data))
         if not data:
             return
-        self._data[addr : addr + len(data)] = data
+        self._view[addr : addr + len(data)] = data
         self._account_store(addr, len(data))
 
     def write_prefilled(self, addr: int, length: int) -> None:
@@ -184,18 +202,23 @@ class PersistentMemoryDevice:
         self._check_range(addr, length)
         if not length:
             return
+        # Dirty first, then unstaged: a fault before this point leaves
+        # the range staged, so a crash still discards its bytes.
         self._account_store(addr, length)
+        self._staged.remove(addr, addr + length)
 
     def volatile_view(self, addr: int, length: int) -> memoryview:
         """Writable view over the *volatile* data image — host staging.
 
         Carries no simulated cost: durability and store cost are charged
-        when the range is committed via :meth:`write_prefilled`.  The
-        view aliases live device memory and is invalidated by
-        :meth:`crash`; it must not outlive the current operation.
+        when the range is committed via :meth:`write_prefilled`.  Until
+        then the range is *staged*: a crash restores it from the durable
+        image.  The view aliases live device memory and is invalidated
+        by :meth:`crash`; it must not outlive the current operation.
         """
         self._check_range(addr, length)
-        return memoryview(self._data)[addr : addr + length]
+        self._staged.add(addr, addr + length)
+        return self._view[addr : addr + length]
 
     def read(self, addr: int, length: int) -> bytes:
         """Load ``length`` bytes from ``addr`` (sees cached stores).
@@ -205,7 +228,7 @@ class PersistentMemoryDevice:
         """
         self._check_range(addr, length)
         self._charge_read(addr, length)
-        return bytes(memoryview(self._data)[addr : addr + length])
+        return bytes(self._view[addr : addr + length])
 
     def read_view(self, addr: int, length: int) -> memoryview:
         """Like :meth:`read`, returning a zero-copy readonly view.
@@ -216,7 +239,7 @@ class PersistentMemoryDevice:
         """
         self._check_range(addr, length)
         self._charge_read(addr, length)
-        return memoryview(self._data)[addr : addr + length].toreadonly()
+        return self._view[addr : addr + length].toreadonly()
 
     def copy_within(self, src: int, dst: int, length: int) -> None:
         """``write(dst, read(src, length))`` without the intermediate
@@ -231,11 +254,9 @@ class PersistentMemoryDevice:
         self._check_range(dst, length)
         if not length:
             return
-        view = memoryview(self._data)
-        if abs(dst - src) < length:  # overlapping: copy via a bounce
-            view[dst : dst + length] = bytes(view[src : src + length])
-        else:
-            view[dst : dst + length] = view[src : src + length]
+        # memoryview assignment moves overlapping ranges correctly.
+        view = self._view
+        view[dst : dst + length] = view[src : src + length]
         self._account_store(dst, length)
 
     def drop_caches(self) -> None:
@@ -271,12 +292,13 @@ class PersistentMemoryDevice:
         line_end = min(line_end, self.size)
         nlines = (line_end - line_start) // CACHE_LINE
 
-        dirty_bytes = self._dirty.overlap_total(line_start, line_end)
-        data_view = memoryview(self._data)
+        dirty = self._dirty.overlap(line_start, line_end)
+        dirty_bytes = sum(b - a for a, b in dirty)
         if torn is not None:
-            self._torn_flush(line_start, line_end, dirty_bytes, torn)
-        for a, b in self._dirty.overlap(line_start, line_end):
-            self._durable[a:b] = data_view[a:b]
+            self._torn_flush(dirty, dirty_bytes, torn)
+        data, durable = self._view, self._durable_view
+        for a, b in dirty:
+            durable[a:b] = data[a:b]
         self._dirty.remove(line_start, line_end)
 
         per_line = (
@@ -297,8 +319,7 @@ class PersistentMemoryDevice:
         dirty_lines = -(-dirty_bytes // CACHE_LINE) if dirty_bytes else 0
         return dirty_lines
 
-    def _torn_flush(self, line_start: int, line_end: int,
-                    dirty_bytes: int, torn) -> None:
+    def _torn_flush(self, dirty, dirty_bytes: int, torn) -> None:
         """Persist only a prefix of the dirty lines, then power-fail.
 
         Tearing is cache-line granular: a line either reaches the media
@@ -309,14 +330,14 @@ class PersistentMemoryDevice:
         """
         budget = int(dirty_bytes * torn.fraction)
         persisted = 0
-        data_view = memoryview(self._data)
-        for a, b in self._dirty.overlap(line_start, line_end):
+        data, durable = self._view, self._durable_view
+        for a, b in dirty:
             pos = a
             while pos < b:
                 nxt = min(b, (pos // CACHE_LINE + 1) * CACHE_LINE)
                 if persisted + (nxt - pos) > budget:
                     torn.crash()
-                self._durable[pos:nxt] = data_view[pos:nxt]
+                durable[pos:nxt] = data[pos:nxt]
                 persisted += nxt - pos
                 pos = nxt
         torn.crash()
@@ -344,9 +365,16 @@ class PersistentMemoryDevice:
     # Failure injection
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Power failure: discard every store not yet flushed."""
-        self._data[:] = self._durable
+        """Power failure: discard every store not yet flushed.
+
+        Only the at-risk ranges (dirty or staged) can differ from the
+        durable image, so only they are copied back.
+        """
+        data, durable = self._view, self._durable_view
+        for a, b in itertools.chain(self._dirty, self._staged):
+            data[a:b] = durable[a:b]
         self._dirty.clear()
+        self._staged.clear()
         self._hot.clear()
         self.crash_count += 1
 
@@ -362,11 +390,11 @@ class PersistentMemoryDevice:
         distinction without actually crashing.
         """
         self._check_range(addr, length)
-        return bytes(self._durable[addr : addr + length])
+        return bytes(self._durable_view[addr : addr + length])
 
     def snapshot(self) -> Optional[bytes]:
         """Durable image of the whole device (for spot-simulator hand-off)."""
-        return bytes(self._durable)
+        return bytes(self._durable_view)
 
     def load_image(self, image: bytes) -> None:
         """Overwrite the device with a previously captured image.
@@ -380,7 +408,8 @@ class PersistentMemoryDevice:
             raise ValueError(
                 f"image is {len(image)} bytes, device is {self.size}"
             )
-        self._durable[:] = image
-        self._data[:] = image
+        self._durable_view[:] = image
+        self._view[:] = image
         self._dirty.clear()
+        self._staged.clear()
         self._hot.clear()

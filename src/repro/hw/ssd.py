@@ -4,6 +4,11 @@ This is the substrate of the paper's baseline: SGX-Darknet checkpointing
 via ``ocall``-ed ``fwrite``/``fread`` plus an ``fsync`` after every write
 (Section VI, "PM mirroring vs. SSD-based checkpointing").  Data written
 but not fsynced sits in the page cache and is lost on :meth:`crash`.
+
+Each file's cached bytes equal its durable bytes outside its dirty
+ranges (up to the durable length), so :meth:`BlockDevice.fsync` and
+:meth:`BlockDevice.crash` copy only dirty ranges, memoryview to
+memoryview.
 """
 
 from __future__ import annotations
@@ -17,7 +22,11 @@ from repro.simtime.costs import DeviceCostModel
 
 
 class _File:
-    """One file: durable bytes plus not-yet-synced dirty ranges."""
+    """One file: durable bytes plus not-yet-synced dirty ranges.
+
+    ``data[:len(durable)]`` equals ``durable`` outside ``dirty``; bytes
+    of ``data`` beyond ``len(durable)`` were never synced.
+    """
 
     def __init__(self) -> None:
         self.data = bytearray()
@@ -95,8 +104,9 @@ class BlockDevice:
         pending = f.dirty.total
         if len(f.durable) < len(f.data):
             f.durable.extend(b"\x00" * (len(f.data) - len(f.durable)))
-        for a, b in f.dirty:
-            f.durable[a:b] = f.data[a:b]
+        with memoryview(f.data) as data, memoryview(f.durable) as durable:
+            for a, b in f.dirty:
+                durable[a:b] = data[a:b]
         f.dirty.clear()
         self.stats["fsyncs"] += 1
         self.clock.advance(self.cost.fsync_time(pending))
@@ -112,7 +122,8 @@ class BlockDevice:
             )
         self.stats["reads"] += 1
         self.clock.advance(self.cost.read_time(length))
-        return bytes(f.data[offset : offset + length])
+        with memoryview(f.data) as view:
+            return bytes(view[offset : offset + length])
 
     def read_all(self, name: str) -> bytes:
         """Read the whole file."""
@@ -122,6 +133,10 @@ class BlockDevice:
         """Power failure: unsynced writes are lost, files truncate to the
         durable image."""
         for f in self._files.values():
-            f.data = bytearray(f.durable)
+            size = len(f.durable)
+            del f.data[size:]
+            with memoryview(f.data) as data, memoryview(f.durable) as durable:
+                for a, b in f.dirty.overlap(0, size):
+                    data[a:b] = durable[a:b]
             f.dirty.clear()
         self.crash_count += 1

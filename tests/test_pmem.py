@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,45 +206,123 @@ class TestFaultHook:
 
 
 # ----------------------------------------------------------------------
-# Property: for ANY interleaving of writes/flushes and a crash, post-crash
-# contents equal exactly the writes whose lines were flushed after them.
+# Property: for ANY interleaving of stores (plain, staged through
+# volatile_view, copied within the device), flushes, image loads and
+# crashes, every crash leaves the device equal to the reference model:
+# exactly the bytes whose lines were flushed after they were stored.
 # ----------------------------------------------------------------------
+_SIZE = 1024
+_addr = st.integers(0, _SIZE - 64)
+_payload = st.binary(min_size=1, max_size=64)
 _actions = st.lists(
     st.one_of(
-        st.tuples(
-            st.just("write"),
-            st.integers(0, 960),
-            st.binary(min_size=1, max_size=64),
-        ),
-        st.tuples(st.just("flush"), st.integers(0, 960), st.integers(1, 128)),
+        st.tuples(st.just("write"), _addr, _payload),
+        st.tuples(st.just("flush"), _addr, st.integers(1, 128)),
+        # volatile_view staging: 0 = never accounted, 1 = accounted by
+        # write_prefilled, 2 = write_prefilled raises from fault_hook.
+        st.tuples(st.just("stage"), _addr, _payload, st.integers(0, 2)),
+        # Overlapping when |src - dst| < length, disjoint otherwise.
+        st.tuples(st.just("copy"), _addr, _addr, st.integers(1, 64)),
+        st.tuples(st.just("load"), st.binary(min_size=1, max_size=16)),
+        st.tuples(st.just("crash")),
     ),
     max_size=30,
 )
 
 
+class _Boom(Exception):
+    pass
+
+
+def _raise_boom(op):
+    raise _Boom(op)
+
+
 @given(_actions)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_crash_semantics_match_reference_model(actions):
-    dev = PersistentMemoryDevice(1024, SimClock(), EMLSGX_PM.pm)
-    durable = bytearray(1024)  # reference model of the durable image
-    live = bytearray(1024)
+    dev = PersistentMemoryDevice(_SIZE, SimClock(), EMLSGX_PM.pm)
+    durable = bytearray(_SIZE)  # reference model of the durable image
+    live = bytearray(_SIZE)
     dirty = set()  # dirty byte addresses
+
+    def crash_and_check():
+        dev.crash()
+        live[:] = durable
+        dirty.clear()
+        assert dev.read(0, _SIZE) == bytes(durable)
+        assert dev.durable_read(0, _SIZE) == bytes(durable)
+
     for action in actions:
-        if action[0] == "write":
+        kind = action[0]
+        if kind == "write":
             _, addr, data = action
-            data = data[: 1024 - addr]
             dev.write(addr, data)
             live[addr : addr + len(data)] = data
-            dirty |= set(range(addr, addr + len(data)))
-        else:
+            dirty.update(range(addr, addr + len(data)))
+        elif kind == "flush":
             _, addr, length = action
-            length = min(length, 1024 - addr)
+            length = min(length, _SIZE - addr)
             dev.flush(addr, length)
             line_start = (addr // 64) * 64
-            line_end = min(-(-(addr + length) // 64) * 64, 1024)
+            line_end = min(-(-(addr + length) // 64) * 64, _SIZE)
             for b in range(line_start, line_end):
                 if b in dirty:
                     durable[b] = live[b]
                     dirty.discard(b)
+        elif kind == "stage":
+            _, addr, data, mode = action
+            dev.volatile_view(addr, len(data))[:] = data
+            live[addr : addr + len(data)] = data
+            if mode == 1:
+                dev.write_prefilled(addr, len(data))
+                dirty.update(range(addr, addr + len(data)))
+            elif mode == 2:
+                dev.fault_hook = _raise_boom
+                with pytest.raises(_Boom):
+                    dev.write_prefilled(addr, len(data))
+                dev.fault_hook = None
+        elif kind == "copy":
+            _, src, dst, length = action
+            dev.copy_within(src, dst, length)
+            live[dst : dst + length] = live[src : src + length]
+            dirty.update(range(dst, dst + length))
+        elif kind == "load":
+            image = (action[1] * _SIZE)[:_SIZE]
+            dev.load_image(image)
+            durable[:] = image
+            live[:] = image
+            dirty.clear()
+        else:
+            crash_and_check()
+    assert dev.read(0, _SIZE) == bytes(live)
+    crash_and_check()
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self/statm"
+)
+def test_images_are_zeroed_lazily():
+    """A 1 GiB device costs resident memory only for the lines it writes
+    (two eagerly zeroed images would make about 2 GiB resident); reading
+    never-written lines makes nothing resident either."""
+    before = _resident_bytes()
+    dev = PersistentMemoryDevice(1 << 30, SimClock(), EMLSGX_PM.pm)
+    for addr in (0, 1 << 20, (1 << 30) - 256):
+        dev.write(addr, b"L" * 256)
+        dev.persist(addr, 256)
+    dev.write(1 << 29, b"lost")
     dev.crash()
-    assert dev.read(0, 1024) == bytes(durable)
+    assert dev.read((1 << 30) - 256, 256) == b"L" * 256
+    assert dev.read(1 << 29, 4) == b"\x00" * 4
+    zero = bytes(1 << 20)
+    untouched = dev.read_view(1 << 28, 64 << 20)
+    assert all(untouched[i : i + len(zero)] == zero
+               for i in range(0, len(untouched), len(zero)))
+    untouched.release()
+    assert _resident_bytes() - before < 32 << 20

@@ -90,6 +90,21 @@ class TestDurability:
         ssd.crash()
         assert ssd.read_all("f") == b"AAAA"
 
+    def test_crash_restores_overwritten_synced_bytes(self):
+        ssd = make_ssd()
+        ssd.write("f", 0, b"AAAAAAAA")
+        ssd.fsync("f")
+        ssd.write("f", 2, b"XY")  # unsynced overwrite inside the file
+        ssd.write("f", 6, b"BBBBBB")  # straddles the durable end
+        ssd.write("g", 0, b"gone")  # never synced at all
+        ssd.crash()
+        assert ssd.read_all("f") == b"AAAAAAAA"
+        assert ssd.file_size("g") == 0
+        ssd.write("f", 8, b"CC")  # the file grows again from its end
+        ssd.fsync("f")
+        ssd.crash()
+        assert ssd.read_all("f") == b"AAAAAAAACC"
+
     def test_fsync_returns_pending_bytes(self):
         ssd = make_ssd()
         ssd.write("f", 0, b"x" * 100)
