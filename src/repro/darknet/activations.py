@@ -12,6 +12,25 @@ Each activation carries two forward implementations:
   nothing: every in-place formulation below is the same ufunc sequence
   as its reference (multiplication and addition are exactly commutative
   in IEEE 754, and ``out=`` never changes a ufunc's rounding).
+
+Leaky is written without a data-dependent select.  ``np.where`` and
+masked ``np.copyto`` run element by element with a branch each, which
+mispredicts on activations whose sign is noise; ``np.maximum`` and
+plain arithmetic vectorize.  The results are the same bits:
+
+* forward: ``maximum(x, 0.1*x)`` picks ``x`` for ``x > 0`` (where
+  ``0.1*x < x``) and ``0.1*x`` for ``x < 0``; at ``x = ±0`` and
+  ``x = ±inf`` both operands are the same bits, so which one
+  ``maximum`` returns on the tie does not matter.  Subnormals follow
+  the same two cases.  Only a NaN input can differ: ``maximum`` may
+  return the NaN ``x`` where ``where`` returned ``0.1*x``, so at most
+  the NaN payload changes;
+* gradient: ``(y > 0) * 0.9 + 0.1`` in the activation's own dtype is
+  exactly ``{1.0, 0.1}`` (``0.9f + 0.1f`` rounds to ``1.0f``), the
+  values ``where(y > 0, 1.0, 0.1).astype(dtype)`` produced.  It keeps
+  ``y``'s memory layout, as ``astype`` did, and is a fresh temporary,
+  which the layout of ``delta * gradient(y)`` depends on (see
+  ``ConvolutionalLayer.backward``).
 """
 
 from __future__ import annotations
@@ -42,22 +61,21 @@ class Activation:
 
 
 def _leaky_forward(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, 0.1 * x)
+    return np.maximum(x, 0.1 * x)
 
 
 def _leaky_forward_into(x: np.ndarray, ws) -> np.ndarray:
-    # Same arithmetic as np.where(x > 0, x, 0.1 * x): scale everything,
-    # then restore the positive entries verbatim.
-    mask = ws.take("act.mask", x.shape, np.bool_)
-    np.greater(x, 0, out=mask)
     out = ws.take("act.out", x.shape, x.dtype)
     np.multiply(x, 0.1, out=out)
-    np.copyto(out, x, where=mask)
+    np.maximum(x, out, out=out)
     return out
 
 
 def _leaky_gradient(y: np.ndarray) -> np.ndarray:
-    return np.where(y > 0, 1.0, 0.1).astype(y.dtype)
+    grad = (y > 0).astype(y.dtype)
+    grad *= 0.9
+    grad += 0.1
+    return grad
 
 
 def _relu_forward(x: np.ndarray) -> np.ndarray:

@@ -16,15 +16,24 @@ by default, both bit-exact with the original formulation):
   call after the first is a dictionary hit.
 * ``im2col`` takes a strided-view fast path: a
   ``sliding_window_view`` over the padded images (plus a ``::stride``
-  slice for stride > 1) replaces the fancy-index gather entirely; the
-  only copy is the reshape into the GEMM operand, which the gather had
-  to produce anyway.  This path is bit-identical to the gather.
+  slice for stride > 1) replaces the fancy-index gather entirely.  The
+  padded images are staged channel-major and batch-innermost, ``(C,
+  H+2p, W+2p, N)``, the order of the column matrix's own axes, so the
+  copy into the (unchanged) ``(C·k·k, OH·OW·N)`` GEMM operand runs
+  along memory order instead of striding across whole images for every
+  element.  A conv output is already batch-innermost in memory, so
+  staging it is a near-contiguous copy too.  This path is bit-identical
+  to the gather.
 * ``col2im`` replaces the (buffered, element-at-a-time) ``np.add.at``
   scatter with k² vectorized slice additions — within one kernel
   offset the destination positions are distinct, so ``+=`` is exact.
-  The summation *order* across kernel offsets differs from
-  ``np.add.at``, so results agree to float rounding (not bitwise);
-  both orderings are deterministic.
+  The additions land in a ``(C, H+2p, W+2p, N)`` buffer, the columns'
+  layout, and the interior is copied out once in C-ordered ``(N, C, H,
+  W)``, the axis order the input gradient always had.  Each element still
+  sums its contributions in ``(ki, kj)`` order, so the bits do not
+  depend on the staging.  That order differs from ``np.add.at``'s, so
+  the two paths agree to float rounding (not bitwise); both orderings
+  are deterministic.
 
 ``set_index_cache_enabled(False)`` restores the historical
 rebuild-everything behavior; the wall-clock benchmark uses it as the
@@ -112,18 +121,22 @@ def clear_patch_index_cache() -> None:
 
 
 def _im2col_strided(
-    padded: np.ndarray, kernel: int, stride: int
+    images: np.ndarray, kernel: int, stride: int, pad: int
 ) -> np.ndarray:
-    """Unroll via ``sliding_window_view`` — no index tensors, one copy."""
+    """Unroll via ``sliding_window_view`` over batch-innermost staging
+    — no index tensors (see the hot-path notes)."""
+    n, c, h, w = images.shape
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=images.dtype)
+    padded[:, pad : pad + h, pad : pad + w] = images.transpose(1, 2, 3, 0)
     windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (kernel, kernel), axis=(2, 3)
+        padded, (kernel, kernel), axis=(1, 2)
     )
     if stride > 1:
-        windows = windows[:, :, ::stride, ::stride]
-    n, c, out_h, out_w = windows.shape[:4]
+        windows = windows[:, ::stride, ::stride]
+    out_h, out_w = windows.shape[1:3]
     # Row = (channel, kernel_row, kernel_col), column = (out_pos, image):
     # identical layout to the gather formulation below.
-    return windows.transpose(1, 4, 5, 2, 3, 0).reshape(
+    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(
         c * kernel * kernel, out_h * out_w * n
     )
 
@@ -156,12 +169,12 @@ def im2col(
     images: np.ndarray, kernel: int, stride: int, pad: int
 ) -> np.ndarray:
     """Unroll ``(N, C, H, W)`` images into ``(C*k*k, N*OH*OW)`` columns."""
+    if _optimized:
+        return _im2col_strided(images, kernel, stride, pad)
     n, c, h, w = images.shape
     padded = np.pad(
         images, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant"
     )
-    if _optimized:
-        return _im2col_strided(padded, kernel, stride)
     k, i, j = _patch_indices(c, h, w, kernel, stride, pad)
     cols = padded[:, k, i, j]  # (N, C*k*k, OH*OW)
     return cols.transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
@@ -174,23 +187,21 @@ def _col2im_strided(
     stride: int,
     pad: int,
 ) -> np.ndarray:
-    """Scatter-add via k² vectorized slice additions (no ``np.add.at``)."""
+    """Scatter-add via k² vectorized slice additions (no ``np.add.at``)
+    into batch-innermost staging (see the hot-path notes)."""
     n, c, h, w = images_shape
     out_h = conv_output_size(h, kernel, stride, pad)
     out_w = conv_output_size(w, kernel, stride, pad)
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
     cols6 = cols.reshape(c, kernel, kernel, out_h, out_w, n)
     for ki in range(kernel):
         for kj in range(kernel):
             padded[
                 :,
-                :,
                 ki : ki + stride * out_h : stride,
                 kj : kj + stride * out_w : stride,
-            ] += cols6[:, ki, kj].transpose(3, 0, 1, 2)
-    if pad == 0:
-        return padded
-    return padded[:, :, pad:-pad, pad:-pad]
+            ] += cols6[:, ki, kj]
+    return padded[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2).copy()
 
 
 def col2im(

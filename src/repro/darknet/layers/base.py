@@ -40,6 +40,13 @@ class Layer(abc.ABC):
     def backward(self, delta: np.ndarray) -> np.ndarray:
         """Back-propagate ``delta``; accumulates parameter gradients."""
 
+    def backward_params(self, delta: np.ndarray) -> None:
+        """:meth:`backward` for a caller that discards the input
+        gradient (the first layer of a network): accumulates the same
+        parameter gradients; layers with a costly input gradient skip
+        computing it."""
+        self.backward(delta)
+
     def infer(self, x: np.ndarray, ws) -> np.ndarray:
         """Inference forward using workspace (arena) buffers.
 

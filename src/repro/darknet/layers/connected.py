@@ -76,12 +76,19 @@ class ConnectedLayer(Layer):
         return self.activation.forward_into(out, ws)
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
+        delta = self._parameter_backward(delta)
+        d_x = delta @ self.weights
+        return d_x.reshape((delta.shape[0],) + tuple(self.in_shape))
+
+    def backward_params(self, delta: np.ndarray) -> None:
+        self._parameter_backward(delta)
+
+    def _parameter_backward(self, delta: np.ndarray) -> np.ndarray:
         assert self._x is not None and self._output is not None
         delta = delta * self.activation.gradient(self._output)
         self.weight_updates += delta.T @ self._x
         self.bias_updates += delta.sum(axis=0)
-        d_x = delta @ self.weights
-        return d_x.reshape((delta.shape[0],) + tuple(self.in_shape))
+        return delta
 
     def trainable(self) -> List[ParamPair]:
         return [

@@ -77,7 +77,6 @@ class ConvolutionalLayer(Layer):
         self._cols: Optional[np.ndarray] = None
         self._x_shape: Optional[Tuple[int, int, int, int]] = None
         self._bn_cache: Optional[tuple] = None
-        self._pre_activation: Optional[np.ndarray] = None
         self._output: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -97,7 +96,6 @@ class ConvolutionalLayer(Layer):
             # stream must not pin ever-fresh arrays on the layer.
             self._x_shape = x.shape
             self._cols = cols
-            self._pre_activation = raw
             self._output = out
         return out
 
@@ -146,7 +144,27 @@ class ConvolutionalLayer(Layer):
         return self.activation.forward_into(raw, ws)
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
+        d_flat = self._parameter_backward(delta)
+        d_cols = self.weights.T @ d_flat
+        return col2im(
+            d_cols, self._x_shape, self.kernel, self.stride, self.pad
+        )
+
+    def backward_params(self, delta: np.ndarray) -> None:
+        self._parameter_backward(delta)
+
+    def _parameter_backward(self, delta: np.ndarray) -> np.ndarray:
+        """Accumulate the parameter gradients; returns the ``(F,
+        OH·OW·N)`` output delta the input gradient is computed from."""
         assert self._cols is not None and self._output is not None
+        # Layout rule: the bias, scale and batchnorm sums below reduce in
+        # memory order, so their bits depend on this product's layout.
+        # NumPy elides the gradient temporary when it is 256 KiB or more
+        # and writes the product into it, batch-innermost like the
+        # output; a smaller product is a new C-ordered (NCHW) array.
+        # Keep the delta NCHW-ordered and the gradient a fresh temporary
+        # in the output's layout: a C-ordered gradient or a
+        # batch-innermost delta moves the product and changes the bits.
         delta = delta * self.activation.gradient(self._output)
 
         # Bias (or batchnorm beta) gradient.
@@ -154,14 +172,9 @@ class ConvolutionalLayer(Layer):
         if self.batch_normalize:
             delta = self._batchnorm_backward(delta)
 
-        n = delta.shape[0]
-        f = self.filters
-        d_flat = delta.transpose(1, 2, 3, 0).reshape(f, -1)
+        d_flat = delta.transpose(1, 2, 3, 0).reshape(self.filters, -1)
         self.weight_updates += d_flat @ self._cols.T
-        d_cols = self.weights.T @ d_flat
-        return col2im(
-            d_cols, self._x_shape, self.kernel, self.stride, self.pad
-        )
+        return d_flat
 
     # ------------------------------------------------------------------
     def _batchnorm_forward(self, x: np.ndarray, train: bool) -> np.ndarray:

@@ -30,8 +30,21 @@ class MaxPoolLayer(Layer):
         self._x_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """Keep-first max over the window offsets, branch-free.
+
+        ``np.maximum`` returns its second operand on a tie (``+0`` vs
+        ``-0`` is the only tie whose bits differ), so the accumulator
+        goes second and keeps the first maximum, as a strict ``>``
+        select would.  The train-only argmax records the offset of the
+        latest strict improvement; offsets rise with ``idx``, so that is
+        a running ``maximum`` of ``idx`` times the improvement mask.
+        The accumulators follow the windows' memory layout (a conv
+        output is batch-innermost) and the result is returned
+        C-contiguous.
+        """
         _, out_h, out_w = self.out_shape
         s, st = self.size, self.stride
+        index_type = np.min_scalar_type(s * s - 1).type
 
         out: Optional[np.ndarray] = None
         argmax: Optional[np.ndarray] = None
@@ -41,19 +54,19 @@ class MaxPoolLayer(Layer):
                 :, :, di : di + st * out_h : st, dj : dj + st * out_w : st
             ]
             if out is None:
-                out = window.copy()
+                out = window.copy(order="K")
                 if train:
-                    argmax = np.zeros(window.shape, dtype=np.int32)
-            else:
-                mask = window > out
-                np.copyto(out, window, where=mask)
-                if train:
-                    np.copyto(argmax, idx, where=mask)
+                    argmax = np.zeros_like(out, dtype=index_type)
+                continue
+            if train:
+                improved = (window > out).view(np.uint8)
+                np.maximum(argmax, improved * index_type(idx), out=argmax)
+            np.maximum(window, out, out=out)
         assert out is not None
         if train:
             self._x_shape = x.shape
-            self._argmax = argmax
-        return out
+            self._argmax = np.ascontiguousarray(argmax)
+        return np.ascontiguousarray(out)
 
     def infer(self, x: np.ndarray, ws) -> np.ndarray:
         """Workspace-backed max pooling; elementwise per output cell, so
@@ -62,12 +75,12 @@ class MaxPoolLayer(Layer):
 
         Non-overlapping tilings (``size == stride``, the paper's
         configs) take a contiguous-reshape fast path: two single-axis
-        ``np.max`` reductions (columns within each row, then rows).
-        Keep-first ``np.maximum`` is associative — any reduction order
-        selects the same element, bit for bit — and its ``>=`` tie
-        behavior matches the reference loop's strict-``>``
-        keep-accumulator, so values are identical while the memory walk
-        stays sequential instead of strided.
+        max passes (columns within each row, then rows).  With the
+        accumulator as the second operand, ``np.maximum`` keeps the
+        first maximum on ties as :meth:`forward` does, and keep-first
+        max is associative — any reduction order selects the same
+        element, bit for bit — so values are identical while the memory
+        walk stays sequential instead of strided.
         """
         n = x.shape[0]
         _, out_h, out_w = self.out_shape
@@ -83,25 +96,15 @@ class MaxPoolLayer(Layer):
             h = x.shape[2]
             colmax = ws.take("colmax", (n, c, h, out_w), x.dtype)
             tiles = x.reshape(n, c, h, out_w, s)
-            np.copyto(colmax, tiles[..., 0])
-            for j in range(1, s):
-                np.maximum(colmax, tiles[..., j], out=colmax)
+            _max_into([tiles[..., j] for j in range(s)], colmax)
             rows = colmax.reshape(n, c, out_h, s, out_w)
-            np.copyto(out, rows[:, :, :, 0, :])
-            for i in range(1, s):
-                np.maximum(out, rows[:, :, :, i, :], out=out)
+            _max_into([rows[:, :, :, i, :] for i in range(s)], out)
             return out
-        mask = ws.take("mask", out.shape, np.bool_)
-        for idx in range(s * s):
-            di, dj = divmod(idx, s)
-            window = x[
-                :, :, di : di + st * out_h : st, dj : dj + st * out_w : st
-            ]
-            if idx == 0:
-                np.copyto(out, window)
-            else:
-                np.greater(window, out, out=mask)
-                np.copyto(out, window, where=mask)
+        windows = [
+            x[:, :, di : di + st * out_h : st, dj : dj + st * out_w : st]
+            for di, dj in (divmod(idx, s) for idx in range(s * s))
+        ]
+        _max_into(windows, out)
         return out
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
@@ -116,6 +119,17 @@ class MaxPoolLayer(Layer):
                 :, :, di : di + st * out_h : st, dj : dj + st * out_w : st
             ] += delta * mask
         return dx
+
+
+def _max_into(parts, out: np.ndarray) -> None:
+    """Keep-first elementwise max of ``parts`` into ``out``: on a tie
+    ``np.maximum`` returns its second operand, the earlier part."""
+    if len(parts) == 1:
+        np.copyto(out, parts[0])
+        return
+    np.maximum(parts[1], parts[0], out=out)
+    for part in parts[2:]:
+        np.maximum(part, out, out=out)
 
 
 class AvgPoolLayer(Layer):

@@ -90,18 +90,25 @@ class Network:
             out = layer.forward(out, train=train)
         return out
 
-    def backward(self) -> None:
-        delta = self.softmax.backward()
-        for layer in reversed(self.layers[:-1]):
-            delta = layer.backward(delta)
+    def backward(self, input_grad: bool = False) -> Optional[np.ndarray]:
+        """Back-propagate the loss delta of the terminal softmax.
 
-    def backward_from(self, delta: np.ndarray) -> np.ndarray:
+        The input gradient (layer 0's ``W.T @ delta`` GEMM and col2im)
+        is computed and returned only when ``input_grad`` is set; the
+        training loop never reads it.
+        """
+        return _backpropagate(
+            self.layers[:-1], self.softmax.backward(), input_grad
+        )
+
+    def backward_from(
+        self, delta: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         """Back-propagate an externally supplied delta through every
         layer (used by pipeline-sharded training, where the loss lives
-        in a later stage's enclave); returns the input gradient."""
-        for layer in reversed(self.layers):
-            delta = layer.backward(delta)
-        return delta
+        in a later stage's enclave); returns the input gradient, which
+        the first stage (``input_grad=False``) skips."""
+        return _backpropagate(self.layers, delta, input_grad)
 
     @property
     def current_learning_rate(self) -> float:
@@ -148,3 +155,16 @@ class Network:
         for index, layer in enumerate(self.layers):
             out = layer.infer(out, arena.workspace(index))
         return out
+
+
+def _backpropagate(
+    layers: Sequence[Layer], delta: np.ndarray, input_grad: bool
+) -> Optional[np.ndarray]:
+    if not layers:
+        return delta if input_grad else None
+    for layer in reversed(layers[1:]):
+        delta = layer.backward(delta)
+    if input_grad:
+        return layers[0].backward(delta)
+    layers[0].backward_params(delta)
+    return None

@@ -174,10 +174,12 @@ class PipelinePlinius:
             activation = worker.forward(activation)
 
         # Loss + backward in the last stage, sealed deltas flowing back.
-        loss, delta = self.workers[-1].loss_and_backward(y)
+        loss, delta = self.workers[-1].loss_and_backward(
+            y, input_grad=len(self.workers) > 1
+        )
         for idx in range(len(self.workers) - 2, -1, -1):
             delta = self.links[idx].transfer(delta)
-            delta = self.workers[idx].backward_from(delta)
+            delta = self.workers[idx].backward_from(delta, input_grad=idx > 0)
 
         for worker in self.workers:
             worker.update()

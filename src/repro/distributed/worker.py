@@ -118,23 +118,27 @@ class StageWorker:
         self.enclave.touch(self.network.param_bytes)
         return self.network.forward(x, train=train)
 
-    def backward_from(self, delta: np.ndarray) -> np.ndarray:
-        """Back-propagate an incoming delta through the stage."""
+    def backward_from(
+        self, delta: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Back-propagate an incoming delta through the stage; the input
+        delta is computed only if ``input_grad`` (the first stage has
+        nobody to send it to)."""
         self._charge_compute(delta.shape[0], fraction=2 / 3)
         self.enclave.touch(2 * self.network.param_bytes)
-        return self.network.backward_from(delta)
+        return self.network.backward_from(delta, input_grad)
 
-    def loss_and_backward(self, y: np.ndarray) -> tuple:
+    def loss_and_backward(
+        self, y: np.ndarray, input_grad: bool = False
+    ) -> tuple:
         """For a stage ending in softmax: compute the loss against ``y``
-        and back-propagate; returns ``(loss, input delta)``."""
+        and back-propagate; returns ``(loss, input delta)``, the delta
+        being ``None`` unless ``input_grad`` asks for it."""
         net = self.network
         loss = net.softmax.loss(y)
-        delta = net.softmax.backward()
         self._charge_compute(y.shape[0], fraction=2 / 3)
         self.enclave.touch(2 * net.param_bytes)
-        for layer in reversed(net.layers[:-1]):
-            delta = layer.backward(delta)
-        return loss, delta
+        return loss, net.backward(input_grad)
 
     def update(self) -> None:
         """Apply the stage's accumulated gradients."""
